@@ -38,8 +38,12 @@ from repro.sbi import constants as sbi
 from repro.sbi.constants import SbiError
 from repro.sbi.types import SbiCall, SbiRet
 from repro.spec.step import BusError
+from repro.spec.traps import Trap
 
 U64 = (1 << 64) - 1
+#: OS privilege level a fast-path return resumes, by mstatus.MPP; an
+#: M-mode MPP resumes S.
+_OS_MODE_BY_MPP = {0: c.U_MODE, 1: c.S_MODE, 3: c.S_MODE}
 
 
 class Miralis:
@@ -87,7 +91,10 @@ class Miralis:
 
     def _charge_host(self, hart, cycles: float) -> None:
         """Charge Miralis host instructions, scaled by core throughput."""
-        hart.charge(cycles * hart.cycle_model.instruction)
+        # Inlines ``Hart.charge``, hart total first, as it does.
+        cycles *= hart.cycle_model.instruction
+        hart.cycles += cycles
+        self.machine.cycles += cycles
 
     # ------------------------------------------------------------------
     # Entry point (machine dispatch lands here when pc is in our region)
@@ -157,8 +164,8 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _handle_trap(self, hart) -> None:
-        vctx = self.vctx[hart.hartid]
-        costs = self.config.costs
+        hartid = hart.hartid
+        vctx = self.vctx[hartid]
         model = hart.cycle_model
         csr_file = hart.state.csr
         tracer = self.machine.tracer
@@ -167,28 +174,27 @@ class Miralis:
         entry_event = (
             self.machine.stats.last_event if tracer is not None else None
         )
-        self._charge_host(hart, costs.dispatch)
+        self._charge_host(hart, self.config.costs.dispatch)
         hart.charge(3 * model.csr_access)  # mcause/mepc/mtval reads
         mcause = csr_file.mcause
         mepc = csr_file.mepc
         mtval = csr_file.read(c.CSR_MTVAL)
         code = mcause & ~c.INTERRUPT_BIT
+        in_firmware = self.world[hartid] == World.FIRMWARE
 
-        if self.world[hart.hartid] == World.OS:
+        if not in_firmware:
             # While the OS runs directly it reads/writes sip natively, so
             # the physical SIP bits are authoritative.  A full world switch
             # folds them into vctx.mip in enter_firmware, but the fast path
             # skips that — refresh here so every handler (offload, policy,
             # virtual-interrupt injection) sees a coherent virtual mip.
             vctx.mip = (vctx.mip & ~c.SIP_MASK) | (csr_file.mip & c.SIP_MASK)
-
-        if (self.watchdog is not None
-                and self.world[hart.hartid] == World.FIRMWARE):
+        elif self.watchdog is not None:
             self.watchdog.note_vm_trap(hart, vctx)
 
         if mcause & c.INTERRUPT_BIT:
             self._handle_physical_interrupt(hart, vctx, code, mepc)
-        elif self.world[hart.hartid] == World.FIRMWARE:
+        elif in_firmware:
             self._handle_firmware_trap(hart, vctx, code, mepc, mtval)
         else:
             self._handle_os_trap(hart, vctx, code, mepc, mtval)
@@ -198,7 +204,7 @@ class Miralis:
         if not bugs.is_active("interrupt_loss"):
             self._check_virtual_interrupts(hart, vctx)
         self._sync_physical_mie(hart, vctx)
-        if self.world[hart.hartid] == World.FIRMWARE:
+        if self.world[hartid] == World.FIRMWARE:
             # Resume the virtualized firmware deprivileged: vM-mode is
             # physical U-mode, always.
             hart.state.mode = c.U_MODE
@@ -238,8 +244,6 @@ class Miralis:
         hart.state.pc = pc
 
     def _handle_firmware_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
         costs = self.config.costs
         injector = self.machine.fault_injector
         if injector is not None and injector.stall_firmware(hart.hartid):
@@ -354,8 +358,6 @@ class Miralis:
         hart.state.pc = result.next_pc
 
     def _handle_firmware_memory_fault(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
         costs = self.config.costs
         if self.watchdog is not None:
             self.watchdog.note_memory_fault(hart, vctx, mtval)
@@ -445,8 +447,6 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _handle_os_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
         if code == c.TrapCause.ECALL_FROM_S:
             call = SbiCall.from_regs(hart.state.xregs)
             action = self.policy.on_os_ecall(hart, vctx, call)
@@ -543,10 +543,8 @@ class Miralis:
 
     def _return_to_os(self, hart) -> None:
         """Resume direct execution after a fast-path handler (mret)."""
-        from repro.isa.bits import get_field
-
-        previous = get_field(hart.state.csr.mstatus, c.MSTATUS_MPP)
-        hart.state.mode = c.PrivilegeLevel(previous if previous != 3 else 1)
+        mpp = (hart.state.csr.mstatus & c.MSTATUS_MPP) >> c.MSTATUS_MPP_SHIFT
+        hart.state.mode = _OS_MODE_BY_MPP[mpp]
 
     # ------------------------------------------------------------------
     # Physical interrupts

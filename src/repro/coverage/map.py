@@ -23,6 +23,7 @@ union order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Optional
@@ -87,6 +88,20 @@ def _slot(pc_block: int, ckey: int, world_key: int, hart: int) -> int:
     return mixed & (MAP_SIZE - 1)
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _trap_path(hartid: int, cause: int, is_interrupt: bool, pc_block: int,
+               world) -> tuple[int, tuple]:
+    """(bitmap slot, exact path key) of one trap site.
+
+    Memoized: a run traps at a few hundred distinct sites over and over,
+    and the world name and slot hash dominate the cost of a record.
+    """
+    world_name = "NATIVE" if world is None else world.name
+    ckey = cause_key(cause, is_interrupt)
+    slot = _slot(pc_block, ckey, WORLD_KEYS[world_name], hartid)
+    return slot, (world_name, ckey, pc_block, hartid)
+
+
 class CoverageMap:
     """Edge bitmap plus the exact trap-path set.
 
@@ -131,14 +146,12 @@ class CoverageMap:
         a map is attached, so this is the *enabled* path — the disabled
         path is the caller's single ``is not None`` branch.
         """
-        world_name = "NATIVE" if world is None else world.name
-        pc_block = (pc & U64) >> BLOCK_BITS
-        ckey = cause_key(cause, is_interrupt)
-        slot = _slot(pc_block, ckey, WORLD_KEYS[world_name], hartid)
+        slot, path = _trap_path(hartid, cause, is_interrupt,
+                                (pc & U64) >> BLOCK_BITS, world)
         edge = slot ^ (self._prev.get(hartid, 0) >> 1)
         self.bits[edge >> 3] |= 1 << (edge & 7)
         self._prev[hartid] = slot
-        self.paths.add((world_name, ckey, pc_block, hartid))
+        self.paths.add(path)
         self._unsourced += 1
 
     # -- queries ---------------------------------------------------------

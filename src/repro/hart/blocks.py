@@ -44,6 +44,7 @@ Correctness rules (each one load-bearing):
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from contextlib import contextmanager
 from typing import Optional
@@ -133,16 +134,22 @@ class BlockEngine:
         #: Debug escape hatch: forces the single-step path while True.
         self.single_step = False
         machine.ram.code_watcher = self
+        # Held weakly: the engine references the machine, and the
+        # registry must not keep a dropped machine alive.
+        engine = weakref.ref(self)
         register_stats_provider(
             "hart.blocks",
-            lambda engine=self: {
-                "hits": engine.hits,
-                "misses": engine.misses,
-                "invalidations": engine.invalidations,
-                "blocks": len(engine._blocks),
-            },
+            lambda: engine()._counters(),
             owner=machine,
         )
+
+    def _counters(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "blocks": len(self._blocks),
+        }
 
     # -- execution -------------------------------------------------------
 
@@ -182,20 +189,22 @@ class BlockEngine:
         the remaining per-op prologues are no-ops: with no scheduler,
         straight-line ALU execution only changes interrupt-pending state
         through the advance of mtime, so it suffices that no timer
-        deadline falls inside the block's cycle window.
+        deadline falls inside the block's cycle window.  Right after the
+        refresh, the CLINT's next rise is the earliest mtimecmp above
+        mtime (comparators at or below it already drive a high line), so
+        it alone decides the mtimecmp part.
         """
         machine = self.machine
         state = hart.state
         machine.refresh_timer_lines()
         if machine.halted or pending_interrupt(state) is not None:
             return 0
-        hz = machine.config.frequency_hz
-        now = machine.read_mtime()
-        end_mtime = cycles_to_mtime(machine.cycles + entry.cost, hz)
-        for deadline in machine.clint.mtimecmp:
-            if now < deadline <= end_mtime:
-                return 0
-        if machine.config.has_sstc and now < state.csr.stimecmp <= end_mtime:
+        end_mtime = cycles_to_mtime(machine.cycles + entry.cost,
+                                    machine.config.frequency_hz)
+        if machine.clint.next_rise <= end_mtime:
+            return 0
+        if (machine.config.has_sstc
+                and machine.read_mtime() < state.csr.stimecmp <= end_mtime):
             return 0
         pc = state.pc
         for instr in entry.instrs:

@@ -27,6 +27,8 @@ MSIP_BASE = 0x0000
 MTIMECMP_BASE = 0x4000
 MTIME_OFFSET = 0xBFF8
 CLINT_SIZE = 0xC000
+#: Larger than any mtime: the next rise when no comparator can fire.
+NEVER = 1 << 64
 
 
 class Clint:
@@ -59,6 +61,13 @@ class Clint:
         # exact, not an approximation — unlike msip, whose rising edge also
         # triggers remote-hart servicing and must never be filtered.
         self._mtip_level: list[bool | None] = [None] * num_harts
+        #: Earliest mtimecmp whose MTIP level is low (0 while a level is
+        #: still unknown).  Time only moves forward between restores, so
+        #: a low level can only rise once mtime reaches its comparator and
+        #: a high level only falls on an mtimecmp write: below this value
+        #: a re-evaluation changes nothing.  Every write and restore
+        #: recomputes it.
+        self.next_rise = 0
         #: Fault-injection hook: ``hook(kind, offset, size) -> bool``;
         #: True makes the access fail with a transient bus error.
         self.fault_hook = None
@@ -118,21 +127,48 @@ class Clint:
                 return MTIMECMP_BASE, (offset - MTIMECMP_BASE) // 8, byte
         raise BusError(f"bad CLINT access: {size}B at offset {offset:#x}")
 
-    def _update_mtip(self, hart: int, now: int | None = None) -> None:
-        level = (self.time_source() if now is None else now) >= self.mtimecmp[hart]
+    def _update_mtip(self, hart: int) -> None:
+        level = self.time_source() >= self.mtimecmp[hart]
         if level != self._mtip_level[hart]:
             self._mtip_level[hart] = level
             self._set_mtip(hart, level)
+        self._reset_next_rise()
+
+    def _reset_next_rise(self) -> None:
+        levels = self._mtip_level
+        if None in levels:
+            self.next_rise = 0
+            return
+        self.next_rise = min(
+            (deadline for deadline, level in zip(self.mtimecmp, levels)
+             if not level),
+            default=NEVER,
+        )
 
     def tick(self) -> None:
-        """Re-evaluate all timer comparators (called when time advances)."""
-        now = self.time_source()
-        for hart in range(self.num_harts):
-            self._update_mtip(hart, now)
+        """Re-evaluate all timer comparators (called when time advances).
 
-    def next_timer_deadline(self) -> int:
-        """Earliest mtimecmp across harts (used to fast-forward idle time)."""
-        return min(self.mtimecmp)
+        Returns at once while mtime is below :attr:`next_rise`: no level
+        can change before then.
+        """
+        now = self.time_source()
+        if now < self.next_rise:
+            return
+        levels = self._mtip_level
+        for hart, deadline in enumerate(self.mtimecmp):
+            level = now >= deadline
+            if level != levels[hart]:
+                levels[hart] = level
+                self._set_mtip(hart, level)
+        self._reset_next_rise()
+
+    def restore(self, msip: list[int], mtimecmp: list[int],
+                mtip_level: list[bool | None]) -> None:
+        """Load register and line state captured by a checkpoint."""
+        self.msip[:] = msip
+        self.mtimecmp[:] = mtimecmp
+        self._mtip_level[:] = mtip_level
+        self._reset_next_rise()
 
     # -- convenience used by firmware and the VFM fast path ---------------
 

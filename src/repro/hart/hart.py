@@ -37,8 +37,10 @@ class Hart:
     # -- cycle accounting ---------------------------------------------
 
     def charge(self, cycles: float) -> None:
+        # Inlines ``Machine.charge``; the two float additions keep their
+        # order.
         self.cycles += cycles
-        self.machine.charge(cycles)
+        self.machine.cycles += cycles
 
     # -- execution ------------------------------------------------------
 
@@ -87,7 +89,16 @@ class Hart:
 
     def check_interrupts(self) -> bool:
         """Deliver a pending interrupt if any.  Returns True if one was taken."""
-        self.machine.refresh_timer_lines()
+        machine = self.machine
+        clint = machine.clint
+        if machine.read_mtime() >= clint.next_rise:
+            # Below the next rise no timer line can change: skip the call.
+            clint.tick()
+        csr = self.state.csr
+        if not csr.mip & csr.mie:
+            # Nothing pending and enabled: interrupt selection would
+            # return None, whatever the mode and global enables.
+            return False
         trap = pending_interrupt(self.state)
         if trap is None:
             return False

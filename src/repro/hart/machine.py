@@ -9,6 +9,7 @@ xRETs, world switches) between them.
 from __future__ import annotations
 
 import time
+import weakref
 from bisect import bisect_right, insort
 from typing import Optional, Protocol, Union
 
@@ -68,6 +69,10 @@ class Machine:
         self.cycle_model = cycle_model_for(config)
         self.stats = TrapStats(keep_events=keep_trap_events)
         self.cycles = 0.0
+        # ``read_mtime`` memo: the cycle count it last converted, and
+        # the result.
+        self._mtime_cycles: Optional[float] = None
+        self._mtime = 0
         self.halted = False
         self.halt_reason: Optional[str] = None
 
@@ -132,12 +137,15 @@ class Machine:
         #: hook can key traps on the executing world.  None on a bare
         #: machine (recorded as the NATIVE world).
         self.world_view = None
-        bus = self.spec_bus
+        # The provider holds the bus weakly: the bus reaches this machine
+        # (through the CLINT's time source), and the registry must not
+        # keep a dropped machine alive.
+        bus_ref = weakref.ref(self.spec_bus)
         register_stats_provider(
             "bus.devices",
-            lambda bus=bus: {
-                "hits": bus.device_lookup_hits,
-                "misses": bus.device_lookup_misses,
+            lambda: {
+                "hits": bus_ref().device_lookup_hits,
+                "misses": bus_ref().device_lookup_misses,
             },
             owner=self,
         )
@@ -149,7 +157,13 @@ class Machine:
     # -- clock ----------------------------------------------------------
 
     def read_mtime(self) -> int:
-        return cycles_to_mtime(self.cycles, self.config.frequency_hz)
+        # mtime is a pure function of ``cycles``, so the memo is exact
+        # whatever assigns ``cycles`` (charges, checkpoint restores).
+        cycles = self.cycles
+        if cycles != self._mtime_cycles:
+            self._mtime_cycles = cycles
+            self._mtime = cycles_to_mtime(cycles, self.config.frequency_hz)
+        return self._mtime
 
     def charge(self, cycles: float) -> None:
         self.cycles += cycles
@@ -269,12 +283,16 @@ class Machine:
         interrupted instruction stream.
         """
         stack = self._resume_stacks[hart.hartid]
+        # Inner levels pop what they push, so the outer levels are fixed
+        # for the whole loop.
+        outer_levels = stack[:]
         stack.append(resume_pcs)
         try:
             while hart.state.pc not in resume_pcs:
                 if self.halted:
                     raise MachineHalted(self.halt_reason or "halted")
-                if any(hart.state.pc in outer for outer in stack[:-1]):
+                if outer_levels and any(
+                        hart.state.pc in outer for outer in outer_levels):
                     raise _UnwindToResume(hart.state.pc)
                 try:
                     self.dispatch_current(hart)

@@ -25,6 +25,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from repro.isa import constants as c
+from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction, make_instruction
 
 if TYPE_CHECKING:
@@ -226,8 +227,6 @@ class GuestContext:
         instruction keeps the in-memory instruction stream consistent with
         what actually executed.
         """
-        from repro.isa.encoding import encode
-
         pc = self.hart.state.pc
         ram = self.machine.ram
         if ram.base <= pc and pc + 4 <= ram.base + ram.size:

@@ -8,6 +8,7 @@ the per-benchmark trap rates of Figures 10-13.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter, defaultdict
 from typing import Optional
 
@@ -27,7 +28,10 @@ class TrapEvent:
     detail: str = ""
 
 
+@functools.cache
 def cause_name(cause: int, is_interrupt: bool) -> str:
+    # Memoized: every recorded trap names its cause, and building the
+    # enum member for that is the costly part.
     if is_interrupt:
         try:
             return f"irq:{c.InterruptCause(cause).name}"

@@ -43,8 +43,9 @@ def unregister_stats_provider(
 
 def reset_stats_providers() -> None:
     """Drop every *owned* provider (module-lifetime sources survive)."""
-    for key in [key for key, (_, ref) in _providers.items() if ref is not None]:
-        del _providers[key]
+    for key, (_, ref) in _providers.copy().items():
+        if ref is not None:
+            _providers.pop(key, None)
 
 
 def cache_stats(owner: Optional[object] = None) -> dict[str, dict]:
@@ -55,7 +56,9 @@ def cache_stats(owner: Optional[object] = None) -> dict[str, dict]:
     two views, which keeps two live owners' same-named sources apart.
     """
     stats: dict[str, dict] = {}
-    for (name, _), (provider, reference) in sorted(_providers.items()):
+    # Iterate a copy: a collection triggered while iterating may run a
+    # dead owner's weakref callback, which removes its entry.
+    for (name, _), (provider, reference) in sorted(_providers.copy().items()):
         if reference is None:
             if owner is None:
                 stats[name] = dict(provider())

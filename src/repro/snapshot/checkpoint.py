@@ -494,10 +494,9 @@ def restore(machine, checkpoint: Checkpoint) -> None:
         hart.state.restore(hart_state["state"])
 
     devices = state["devices"]
-    clint = machine.clint
-    clint.msip[:] = devices["clint"]["msip"]
-    clint.mtimecmp[:] = devices["clint"]["mtimecmp"]
-    clint._mtip_level[:] = devices["clint"]["mtip_level"]
+    clint_state = devices["clint"]
+    machine.clint.restore(clint_state["msip"], clint_state["mtimecmp"],
+                          clint_state["mtip_level"])
     plic = machine.plic
     plic.priority[:] = devices["plic"]["priority"]
     plic.pending = devices["plic"]["pending"]

@@ -397,6 +397,8 @@ _CSR_READERS: dict[int, Callable[[CsrFile], int]] = {
     c.CSR_SEPC: lambda f: f.sepc,
     c.CSR_MCAUSE: lambda f: f.mcause,
     c.CSR_SCAUSE: lambda f: f.scause,
+    c.CSR_MTVAL: lambda f: f._simple[c.CSR_MTVAL],
+    c.CSR_STVAL: lambda f: f._simple[c.CSR_STVAL],
     c.CSR_SATP: lambda f: f.satp,
     c.CSR_MENVCFG: lambda f: f.menvcfg,
     c.CSR_STIMECMP: lambda f: f.stimecmp,

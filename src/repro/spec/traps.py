@@ -5,8 +5,16 @@ from __future__ import annotations
 import dataclasses
 
 from repro.isa import constants as c
-from repro.isa.bits import get_field, set_field
 from repro.spec.state import MachineState
+
+# mstatus arithmetic for trap entry and xRET, done with fixed masks
+# instead of set_field/get_field.  Both trap entry and xRET rewrite all
+# three of xPP/xPIE/xIE; xPIE sits four bits above xIE for M and S alike.
+_M_FIELDS = c.MSTATUS_MPP | c.MSTATUS_MPIE | c.MSTATUS_MIE
+_S_FIELDS = c.MSTATUS_SPP | c.MSTATUS_SPIE | c.MSTATUS_SIE
+_IE_TO_PIE = 4
+#: Privilege level by MPP/SPP encoding; 2 is reserved.
+_MODE_BY_PP = (c.U_MODE, c.S_MODE, None, c.M_MODE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,27 +65,27 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
     Returns the privilege mode the trap was taken to.
     """
     target = trap_target_mode(state, trap)
-    mstatus = state.csr.mstatus
+    csr = state.csr
+    mstatus = csr.mstatus
     if target == c.M_MODE:
-        state.csr.mepc = state.pc & ~0x3
-        state.csr.mcause = trap.mcause_value
-        state.csr.write(c.CSR_MTVAL, trap.tval)
-        mstatus = set_field(mstatus, c.MSTATUS_MPP, int(state.mode))
-        mie = get_field(mstatus, c.MSTATUS_MIE)
-        mstatus = set_field(mstatus, c.MSTATUS_MPIE, mie)
-        mstatus = set_field(mstatus, c.MSTATUS_MIE, 0)
-        state.pc = _vectored_target(state.csr.mtvec, trap)
+        csr.mepc = state.pc & ~0x3
+        csr.mcause = trap.mcause_value
+        # mtval is plain storage with a full-width write mask.
+        csr._simple[c.CSR_MTVAL] = trap.tval & c.XMASK
+        mstatus = ((mstatus & ~_M_FIELDS)
+                   | (state.mode << c.MSTATUS_MPP_SHIFT)
+                   | ((mstatus & c.MSTATUS_MIE) << _IE_TO_PIE))
+        state.pc = _vectored_target(csr.mtvec, trap)
     else:
-        state.csr.sepc = state.pc & ~0x3
-        state.csr.scause = trap.mcause_value
-        state.csr.write(c.CSR_STVAL, trap.tval)
-        mstatus = set_field(mstatus, c.MSTATUS_SPP, int(state.mode) & 1)
-        sie = get_field(mstatus, c.MSTATUS_SIE)
-        mstatus = set_field(mstatus, c.MSTATUS_SPIE, sie)
-        mstatus = set_field(mstatus, c.MSTATUS_SIE, 0)
-        state.pc = _vectored_target(state.csr.stvec, trap)
+        csr.sepc = state.pc & ~0x3
+        csr.scause = trap.mcause_value
+        csr._simple[c.CSR_STVAL] = trap.tval & c.XMASK
+        mstatus = ((mstatus & ~_S_FIELDS)
+                   | ((state.mode & 1) << c.MSTATUS_SPP_SHIFT)
+                   | ((mstatus & c.MSTATUS_SIE) << _IE_TO_PIE))
+        state.pc = _vectored_target(csr.stvec, trap)
     # Bypass legalization: trap delivery may set any MPP among supported.
-    state.csr.mstatus = mstatus
+    csr.mstatus = mstatus
     state.mode = target
     state.waiting_for_interrupt = False
     return target
@@ -86,11 +94,12 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
 def execute_mret(state: MachineState) -> None:
     """``mret`` semantics: return from an M-mode trap handler."""
     mstatus = state.csr.mstatus
-    previous = c.PrivilegeLevel(get_field(mstatus, c.MSTATUS_MPP))
-    mpie = get_field(mstatus, c.MSTATUS_MPIE)
-    mstatus = set_field(mstatus, c.MSTATUS_MIE, mpie)
-    mstatus = set_field(mstatus, c.MSTATUS_MPIE, 1)
-    mstatus = set_field(mstatus, c.MSTATUS_MPP, int(c.U_MODE))
+    previous = _MODE_BY_PP[(mstatus & c.MSTATUS_MPP) >> c.MSTATUS_MPP_SHIFT]
+    if previous is None:
+        raise ValueError("mstatus.MPP holds the reserved encoding 2")
+    mstatus = ((mstatus & ~_M_FIELDS)
+               | ((mstatus & c.MSTATUS_MPIE) >> _IE_TO_PIE)
+               | c.MSTATUS_MPIE)
     if previous != c.M_MODE:
         mstatus &= ~c.MSTATUS_MPRV
     state.csr.mstatus = mstatus
@@ -101,11 +110,10 @@ def execute_mret(state: MachineState) -> None:
 def execute_sret(state: MachineState) -> None:
     """``sret`` semantics: return from an S-mode trap handler."""
     mstatus = state.csr.mstatus
-    previous = c.PrivilegeLevel(get_field(mstatus, c.MSTATUS_SPP))
-    spie = get_field(mstatus, c.MSTATUS_SPIE)
-    mstatus = set_field(mstatus, c.MSTATUS_SIE, spie)
-    mstatus = set_field(mstatus, c.MSTATUS_SPIE, 1)
-    mstatus = set_field(mstatus, c.MSTATUS_SPP, int(c.U_MODE))
+    previous = _MODE_BY_PP[(mstatus & c.MSTATUS_SPP) >> c.MSTATUS_SPP_SHIFT]
+    mstatus = ((mstatus & ~_S_FIELDS)
+               | ((mstatus & c.MSTATUS_SPIE) >> _IE_TO_PIE)
+               | c.MSTATUS_SPIE)
     if previous != c.M_MODE:  # always true for sret; kept for symmetry
         mstatus &= ~c.MSTATUS_MPRV
     state.csr.mstatus = mstatus
