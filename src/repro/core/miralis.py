@@ -168,12 +168,6 @@ class Miralis:
         vctx = self.vctx[hartid]
         model = hart.cycle_model
         csr_file = hart.state.csr
-        tracer = self.machine.tracer
-        # The trap event for this entry was recorded just before dispatch
-        # reached us; its handler annotation is final once we return.
-        entry_event = (
-            self.machine.stats.last_event if tracer is not None else None
-        )
         self._charge_host(hart, self.config.costs.dispatch)
         hart.charge(3 * model.csr_access)  # mcause/mepc/mtval reads
         mcause = csr_file.mcause
@@ -211,12 +205,8 @@ class Miralis:
         elif hart.state.mode == c.M_MODE:
             # Fast-path or policy-handled trap: drop back to the OS.
             self._return_to_os(hart)
-        if tracer is not None:
-            tracer.trap_exit(
-                self.machine, hart.hartid,
-                entry_event.handler if entry_event is not None
-                else "unclassified",
-            )
+        # The trap's handler annotation is final once we return.
+        self.machine.stats.trap_exit(hartid)
         hart.charge(model.xret)
 
     # ------------------------------------------------------------------
@@ -301,13 +291,9 @@ class Miralis:
             detail=f"emulate:{instr.mnemonic}" if instr else "emulate:invalid",
             hart=hart.hartid,
         )
-        self.machine.stats.note_firmware_emulation()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.machine, "fw-emulate", hart.hartid,
-                what=instr.mnemonic if instr else "invalid",
-            )
+        self.machine.stats.note_firmware_emulation(
+            hart.hartid, instr.mnemonic if instr else "invalid"
+        )
         self.emulation_count += 1
         self._charge_host(hart, costs.emulate_instruction)
         if instr is None:
@@ -657,9 +643,7 @@ class Miralis:
     def _violation(self, hart, message: str) -> None:
         self.violations.append(message)
         self.machine.stats.annotate_last("miralis-violation", detail=message, hart=hart.hartid)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(self.machine, "violation", hart.hartid, what=message)
+        self.machine.stats.emit("violation", hart.hartid, what=message)
         if (self.watchdog is not None
                 and self.world[hart.hartid] == World.FIRMWARE):
             # Under the watchdog, firmware violations degrade gracefully:

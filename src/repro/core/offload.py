@@ -43,11 +43,8 @@ class FastPath:
         """Count one offload hit (stats, annotation, trace)."""
         self.hits[name] += 1
         stats = self.machine.stats
-        stats.note_fastpath()
         stats.annotate_last("miralis-fastpath", detail=f"offload:{name}", hart=hart.hartid)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.fastpath(self.machine, hart.hartid, name)
+        stats.note_fastpath(hart.hartid, name)
 
     # The firmware observes interrupt state through the emulated CSR view
     # (``vctx.mip``): a world-switched emulation of these traps ends with

@@ -52,13 +52,14 @@ class VirtualClint:
         self.clint.write(clint_regs.MTIMECMP_BASE + 8 * hartid, 8, deadline)
 
     def set_monitor_deadline(self, hartid: int, deadline: int) -> None:
-        self.monitor_mtimecmp[hartid] = deadline & U64
+        deadline &= U64
+        self.monitor_mtimecmp[hartid] = deadline
         self.program_physical_timer(hartid)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            op = "clear-monitor" if deadline & U64 == U64 else "arm-monitor"
-            tracer.emit(self.machine, "vclint", hartid,
-                        op=op, deadline=deadline & U64)
+        self.machine.stats.emit(
+            "vclint", hartid,
+            op="clear-monitor" if deadline == U64 else "arm-monitor",
+            deadline=deadline,
+        )
 
     def clear_monitor_deadline(self, hartid: int) -> None:
         self.set_monitor_deadline(hartid, U64)
@@ -120,11 +121,9 @@ class VirtualClint:
         self.accesses += 1
         offset = address - self.clint.base
         size = instr.memory_size
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(self.machine, "vclint", hart.hartid,
-                        op="load" if instr.is_load else "store",
-                        offset=offset, size=size)
+        self.machine.stats.emit("vclint", hart.hartid,
+                                op="load" if instr.is_load else "store",
+                                offset=offset, size=size)
         if instr.is_load:
             value = self._read(offset, size)
             if instr.mnemonic in ("lb", "lh", "lw") and size < 8:
@@ -173,11 +172,9 @@ class VirtualClint:
         offset = address - self.clint.base
         size = instr.memory_size
         kind, hartid, byte = self._locate(offset, size)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(self.machine, "vclint", hart.hartid,
-                        op="os-load" if instr.is_load else "os-store",
-                        offset=offset, size=size)
+        self.machine.stats.emit("vclint", hart.hartid,
+                                op="os-load" if instr.is_load else "os-store",
+                                offset=offset, size=size)
         if instr.is_load:
             value = self.clint.read(offset, size)
             if instr.mnemonic in ("lb", "lh", "lw") and size < 8:

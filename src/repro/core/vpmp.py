@@ -162,8 +162,6 @@ class PmpVirtualizer:
                 csr_file.pmpcfg[index] = value
                 writes += 1
         if writes:
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.emit(self.machine, "vpmp", hart.hartid,
-                            world=world.name.lower(), writes=writes)
+            self.machine.stats.emit("vpmp", hart.hartid,
+                                    world=world.name.lower(), writes=writes)
         return writes

@@ -92,7 +92,7 @@ class FirmwareWatchdog:
     def _activation_snapshot(self, hart, vctx) -> dict:
         """Everything a retry (or replay) must restore: the full virtual
         context, this hart's virtual-CLINT shadows, the firmware region's
-        RAM pages (copy-on-write), and the stats/tracer epochs — see
+        RAM pages (copy-on-write), and the trap-event stream's epoch — see
         :mod:`repro.snapshot.activation` for the full contract."""
         from repro.snapshot.activation import capture_activation
 
@@ -206,12 +206,6 @@ class FirmwareWatchdog:
     # Recovery
     # ------------------------------------------------------------------
 
-    def _trace(self, hartid: int, state: str, reason: str, **args) -> None:
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(self.machine, "watchdog", hartid,
-                        state=state, reason=reason, **args)
-
     def recover(self, hart, vctx, reason: str) -> None:
         """Abandon the current activation: retry it, or quarantine.
 
@@ -224,8 +218,7 @@ class FirmwareWatchdog:
         self.events.append((hartid, "recover", reason))
         # annotate_last has move semantics (one annotation per trap event),
         # so the authoritative per-kind totals live in recovery_counts.
-        self.machine.stats.note_recovery("recoveries", hart=hartid)
-        self._trace(hartid, "recover", reason)
+        self.machine.stats.note_recovery("recoveries", hartid, reason)
         self.consecutive_failures[hartid] += 1
         attempt = self.consecutive_failures[hartid]
         snapshot = self._snapshots[hartid]
@@ -235,8 +228,8 @@ class FirmwareWatchdog:
             self._quarantine(hart, vctx, reason)
         # Bounded exponential backoff, charged as monitor host work.
         self._count(hartid, "retries")
-        self.machine.stats.note_recovery("retries", hart=hartid)
-        self._trace(hartid, "retry", reason, attempt=attempt)
+        self.machine.stats.note_recovery("retries", hartid, reason,
+                                         attempt=attempt)
         backoff = self.config.retry_backoff_cycles * (1 << (attempt - 1))
         self.miralis._charge_host(hart, backoff)
         self._activation_restore(hart, vctx, snapshot)
@@ -276,11 +269,7 @@ class FirmwareWatchdog:
         self.quarantined[hartid] = True
         self._count(hartid, "quarantines")
         self.events.append((hartid, "quarantine", reason))
-        self.machine.stats.note_recovery("quarantines", hart=hartid)
-        self._trace(hartid, "quarantine", reason)
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.note_quarantine(reason)
+        self.machine.stats.note_recovery("quarantines", hartid, reason)
         pending = self._pending[hartid]
         snapshot = self._snapshots[hartid]
         # Record the bundle material *before* any restore: the record's

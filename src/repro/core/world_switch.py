@@ -94,13 +94,9 @@ class WorldSwitcher:
             + model.tlb_flush
         )
         self.miralis.world[hart.hartid] = World.FIRMWARE
-        self.machine.stats.note_world_switch()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.machine, "world-switch", hart.hartid,
-                direction="enter-firmware", csr_ops=csr_ops + writes,
-            )
+        self.machine.stats.note_world_switch(
+            hart.hartid, direction="enter-firmware", csr_ops=csr_ops + writes,
+        )
 
     # ------------------------------------------------------------------
     # firmware -> OS
@@ -156,11 +152,7 @@ class WorldSwitcher:
         )
         hart.state.mode = target_mode
         self.miralis.world[hart.hartid] = World.OS
-        self.machine.stats.note_world_switch()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.machine, "world-switch", hart.hartid,
-                direction="enter-os", target=target_mode.short_name,
-                csr_ops=csr_ops + writes,
-            )
+        self.machine.stats.note_world_switch(
+            hart.hartid, direction="enter-os", target=target_mode.short_name,
+            csr_ops=csr_ops + writes,
+        )

@@ -3,9 +3,9 @@
 The fuzzer's feedback signal: every trap the machine records is folded
 into a fixed-size edge bitmap keyed on (pc-block, trap cause, world,
 hart), plus an exact set of the trap-path tuples for reporting.  The
-map attaches to a :class:`~repro.hart.machine.Machine` through the same
-one-branch pattern as the tracer (``machine.coverage`` is ``None`` by
-default), so the disabled hot path costs a single attribute check.
+map attaches to a :class:`~repro.hart.machine.Machine` like the tracer
+(``machine.coverage`` is ``None`` by default) and is fed by the
+trap-event stream, so the disabled hot path costs a single branch.
 
 Everything here is deterministic: slot indices come from fixed
 multiply-xor mixing (no salted ``hash()``), serialization is canonical

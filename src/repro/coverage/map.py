@@ -142,9 +142,10 @@ class CoverageMap:
         """Fold one recorded trap into the map.
 
         ``world`` is the hart's :class:`~repro.core.vcpu.World` (or None
-        on a bare machine).  Called from the hart dispatch loop only when
-        a map is attached, so this is the *enabled* path — the disabled
-        path is the caller's single ``is not None`` branch.
+        on a bare machine).  Called by the trap-event stream
+        (``TrapStats.record_trap``) only when a map is attached, so this
+        is the *enabled* path — the disabled path is the stream's single
+        ``is not None`` branch.
         """
         slot, path = _trap_path(hartid, cause, is_interrupt,
                                 (pc & U64) >> BLOCK_BITS, world)

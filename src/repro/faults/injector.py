@@ -225,9 +225,9 @@ class FaultInjector:
             self._spec_hits[spec_index] += 1
             self.injections.append(InjectionEvent(site, index, detail))
             machine = self.machine
-            if machine is not None and machine.tracer is not None:
-                machine.tracer.emit(
-                    machine, "fault-inject", attrs.get("hart") or 0,
+            if machine is not None:
+                machine.stats.emit(
+                    "fault-inject", attrs.get("hart") or 0,
                     site=site, index=index, detail=detail, seed=self.seed,
                 )
             return spec

@@ -54,33 +54,18 @@ class Hart:
         if outcome.memory_access is not None:
             if self.machine.is_mmio(outcome.memory_access.address):
                 cost += model.mmio_access
-        if outcome.trap is not None:
+        trap = outcome.trap
+        if trap is not None:
             cost += (
                 model.trap_entry
                 if self.state.mode == c.M_MODE
                 else model.trap_entry_s
             )
+            # from_mode None: the mode before the trap is folded into cause.
             self.machine.stats.record_trap(
-                hart=self.hartid,
-                cause=outcome.trap.cause,
-                is_interrupt=outcome.trap.is_interrupt,
-                from_mode=None,  # mode before the trap is folded into cause
-                mtime=self.machine.read_mtime(),
+                self.hartid, trap.cause, trap.is_interrupt, None,
+                self.machine.read_mtime(),
             )
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.trap_entry(
-                    self.machine, self.hartid,
-                    outcome.trap.cause, outcome.trap.is_interrupt,
-                )
-            coverage = self.machine.coverage
-            if coverage is not None:
-                view = self.machine.world_view
-                coverage.record(
-                    self.hartid, outcome.trap.cause,
-                    outcome.trap.is_interrupt, self.state.pc,
-                    None if view is None else view[self.hartid],
-                )
         self.charge(cost)
         self.instret += 1
         self.state.csr._simple[c.CSR_MINSTRET] = self.instret
@@ -110,23 +95,9 @@ class Hart:
             if target == c.M_MODE
             else self.cycle_model.trap_entry_s
         )
-        self.machine.stats.record_trap(
-            hart=self.hartid,
-            cause=trap.cause,
-            is_interrupt=True,
-            from_mode=from_mode,
-            mtime=self.machine.read_mtime(),
+        machine.stats.record_trap(
+            self.hartid, trap.cause, True, from_mode, machine.read_mtime()
         )
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.trap_entry(self.machine, self.hartid, trap.cause, True)
-        coverage = self.machine.coverage
-        if coverage is not None:
-            view = self.machine.world_view
-            coverage.record(
-                self.hartid, trap.cause, True, self.state.pc,
-                None if view is None else view[self.hartid],
-            )
         return True
 
     def __repr__(self) -> str:

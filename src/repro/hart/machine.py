@@ -67,7 +67,7 @@ class Machine:
     def __init__(self, config: PlatformConfig, keep_trap_events: bool = True):
         self.config = config
         self.cycle_model = cycle_model_for(config)
-        self.stats = TrapStats(keep_events=keep_trap_events)
+        self.stats = TrapStats(keep_events=keep_trap_events, machine=self)
         self.cycles = 0.0
         # ``read_mtime`` memo: the cycle count it last converted, and
         # the result.
@@ -123,16 +123,10 @@ class Machine:
         self.firmware_panic_hook = None
         #: Active :class:`~repro.faults.FaultInjector`, if any.
         self.fault_injector = None
-        #: Active :class:`~repro.trace.Tracer`, if any.  None (the
-        #: default) keeps every emit site down to one branch.
-        self.tracer = None
         #: Active :class:`~repro.smp.SmpScheduler`, if any.  None (the
         #: default) preserves the legacy run-to-completion hart flow and
         #: keeps the per-instruction check down to one branch.
         self.scheduler = None
-        #: Active :class:`~repro.coverage.CoverageMap`, if any.  None
-        #: (the default) keeps each trap-record site down to one branch.
-        self.coverage = None
         #: Installed by the VFM: its per-hart world list, so the coverage
         #: hook can key traps on the executing world.  None on a bare
         #: machine (recorded as the NATIVE world).
@@ -153,6 +147,28 @@ class Machine:
         #: dispatching raises :class:`ProtocolError`.  Used by the fuzzer
         #: to turn a diverging case into a reported finding.
         self.wall_deadline: Optional[float] = None
+
+    # -- observers ------------------------------------------------------
+    # Held by the trap-event stream (``stats``), which forwards every
+    # event to them; None (the default) costs each event one branch.
+
+    @property
+    def tracer(self):
+        """Active :class:`~repro.trace.Tracer`, if any."""
+        return self.stats.tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self.stats.tracer = tracer
+
+    @property
+    def coverage(self):
+        """Active :class:`~repro.coverage.CoverageMap`, if any."""
+        return self.stats.coverage
+
+    @coverage.setter
+    def coverage(self, coverage) -> None:
+        self.stats.coverage = coverage
 
     # -- clock ----------------------------------------------------------
 

@@ -44,29 +44,59 @@ def cause_name(cause: int, is_interrupt: bool) -> str:
 
 
 class TrapStats:
-    """Event log plus aggregate counters."""
+    """The trap-event stream: aggregate counters, the event log, and the
+    observers those events are forwarded to.
 
-    def __init__(self, keep_events: bool = True):
+    Monitor code reports every event here, once: each method updates the
+    counters it owns and forwards the event to the attached
+    :class:`~repro.trace.Tracer` and :class:`~repro.coverage.CoverageMap`
+    (``tracer``/``coverage``, attached through ``machine.tracer`` and
+    ``machine.coverage``).  With neither attached an event costs its
+    counter update plus one branch per observer.  The stream also owns
+    the epoch (mark and rewind) for itself and the tracer, so a watchdog
+    retry or a checkpoint restore rolls back every record of the
+    abandoned execution in one call.
+    """
+
+    #: The counters an epoch marks and a rewind puts back, each with the
+    #: type that copies (and, called bare, zeroes) it.  Listed once:
+    #: epochs, checkpoints and :meth:`reset` all go through this table.
+    _COUNTERS = {
+        "trap_counts": Counter,       # per cause name (Figure 3)
+        "handler_counts": Counter,    # per final handler, see annotate_last
+        "world_switches": int,
+        "firmware_emulations": int,
+        "fastpath_hits": int,
+        "total_traps": int,
+    }
+
+    #: Trace state of each recovery kind (see :meth:`note_recovery`).
+    _RECOVERY_STATES = {"recoveries": "recover", "retries": "retry",
+                        "quarantines": "quarantine"}
+
+    def __init__(self, keep_events: bool = True, machine=None):
         self.keep_events = keep_events
+        #: The machine whose events these are; observers stamp events
+        #: with its clock.  None for a detached stream, which has no
+        #: observers.
+        self.machine = machine
+        self.tracer = None
+        self.coverage = None
         self.events: list[TrapEvent] = []
-        self.trap_counts: Counter[str] = Counter()
-        self.handler_counts: Counter[str] = Counter()
-        self.world_switches = 0
-        self.firmware_emulations = 0
-        self.fastpath_hits = 0
-        self.total_traps = 0
-        #: Recovery decisions (recoveries/retries/quarantines), counted
-        #: explicitly: ``annotate_last`` moves counts when a trap is
-        #: re-annotated, so handler counts cannot double as recovery
-        #: counts (several recoveries may share one trap event).
-        self.recovery_counts: Counter[str] = Counter()
-        #: Per-hart recovery decisions; always sums to recovery_counts.
-        self.recovery_counts_by_hart: dict[int, Counter] = defaultdict(Counter)
-        self._last: Optional[TrapEvent] = None
-        self._last_by_hart: dict[int, TrapEvent] = {}
-        self._injected_by_hart: dict[int, TrapEvent] = {}
+        # Besides the _COUNTERS, reset() creates ``recovery_counts``:
+        # recovery decisions (recoveries/retries/quarantines), counted
+        # explicitly because ``annotate_last`` moves counts when a trap
+        # is re-annotated, so handler counts cannot double as recovery
+        # counts (several recoveries may share one trap event); and
+        # ``recovery_counts_by_hart``, the per-hart view that always sums
+        # to it.  Neither is rewound by an epoch.
+        self.reset()
+
+    # -- events ------------------------------------------------------------
 
     def record_trap(self, hart, cause, is_interrupt, from_mode, mtime) -> TrapEvent:
+        """A hart took a trap: count and log it, open the tracer's
+        latency span, and fold it into the coverage map."""
         event = TrapEvent(hart, cause, is_interrupt, from_mode, mtime)
         self.total_traps += 1
         self.trap_counts[cause_name(cause, is_interrupt)] += 1
@@ -74,7 +104,26 @@ class TrapStats:
             self.events.append(event)
         self._last = event
         self._last_by_hart[hart] = event
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.trap_entry(self.machine, hart, cause, is_interrupt)
+        coverage = self.coverage
+        if coverage is not None:
+            machine = self.machine
+            view = machine.world_view
+            coverage.record(hart, cause, is_interrupt,
+                            machine.harts[hart].state.pc,
+                            None if view is None else view[hart])
         return event
+
+    def trap_exit(self, hart: int) -> None:
+        """The monitor finished this hart's trap: close the tracer's span
+        under the handler the trap was finally annotated with."""
+        tracer = self.tracer
+        if tracer is not None:
+            event = self._last_by_hart.get(hart)
+            tracer.trap_exit(self.machine, hart,
+                             "unclassified" if event is None else event.handler)
 
     def pin_injected(self, hart: int) -> None:
         """Mark this hart's most recent trap as the one delivered to the
@@ -126,73 +175,138 @@ class TrapStats:
         if detail:
             event.detail = detail
 
-    def note_world_switch(self) -> None:
+    def note_world_switch(self, hart: int, **args) -> None:
         self.world_switches += 1
+        self.emit("world-switch", hart, **args)
 
-    def note_firmware_emulation(self) -> None:
+    def note_firmware_emulation(self, hart: int, what: str) -> None:
         self.firmware_emulations += 1
+        self.emit("fw-emulate", hart, what=what)
 
-    def note_fastpath(self) -> None:
+    def note_fastpath(self, hart: int, name: str) -> None:
         self.fastpath_hits += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.fastpath(self.machine, hart, name)
 
-    def note_recovery(self, kind: str, hart: Optional[int] = None) -> None:
-        """Count one watchdog recovery decision (first-class, not moved).
-
-        ``hart`` keys the per-hart view; callers that cannot name a hart
-        still contribute to the aggregate only.
-        """
+    def note_recovery(self, kind: str, hart: int, reason: str,
+                      **args) -> None:
+        """Count one watchdog recovery decision (first-class, not moved)
+        and trace it; a quarantine also snapshots the tracer's flight
+        recorder."""
         self.recovery_counts[kind] += 1
-        if hart is not None:
-            self.recovery_counts_by_hart[hart][kind] += 1
+        self.recovery_counts_by_hart[hart][kind] += 1
+        self.emit("watchdog", hart, state=self._RECOVERY_STATES[kind],
+                  reason=reason, **args)
+        if kind == "quarantines" and self.tracer is not None:
+            self.tracer.note_quarantine(reason)
 
-    @property
-    def last_event(self) -> Optional[TrapEvent]:
-        """The most recently recorded trap (also kept when events aren't)."""
-        return self._last
+    def emit(self, kind: str, hart: int, **args) -> None:
+        """Forward one event to the tracer.  Monitor code calls this for
+        the kinds no counter tracks (vCLINT and vPMP activity, policy
+        violations, fault injections)."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(self.machine, kind, hart, **args)
 
     # -- epochs (watchdog restore / checkpoint rewind) --------------------
 
+    def _counters(self) -> dict:
+        return {name: kind(getattr(self, name))
+                for name, kind in self._COUNTERS.items()}
+
+    def _set_counters(self, saved: dict) -> None:
+        for name, kind in self._COUNTERS.items():
+            setattr(self, name, kind(saved[name]))
+
     def mark_epoch(self) -> dict:
-        """Freeze the counter state at a restore point.
+        """Freeze the stream and the tracer at a restore point.
 
         The watchdog marks an epoch when it arms an activation; if the
         activation fails and its architectural state is rolled back,
-        :meth:`rewind_to_epoch` rolls the *metrics* back too — otherwise
+        :meth:`rewind_to_epoch` rolls the *records* back too — otherwise
         every retried activation double-counts its traps and the reported
         histograms describe executions that were abandoned.
         """
+        tracer = self.tracer
         return {
             "events_len": len(self.events),
-            "trap_counts": dict(self.trap_counts),
-            "handler_counts": dict(self.handler_counts),
-            "world_switches": self.world_switches,
-            "firmware_emulations": self.firmware_emulations,
-            "fastpath_hits": self.fastpath_hits,
-            "total_traps": self.total_traps,
+            "counters": self._counters(),
+            # The last-trap pointers travel with the epoch: rebuilding
+            # them from ``events`` fails when events are not kept.
+            "last": self._last,
+            "last_by_hart": dict(self._last_by_hart),
+            "trace": None if tracer is None else tracer.mark_epoch(),
         }
 
     def rewind_to_epoch(self, epoch: dict) -> None:
-        """Truncate events and restore counters to a marked epoch.
+        """Truncate events and restore counters to a marked epoch, and
+        rewind the tracer to the same point.
 
         ``recovery_counts`` is deliberately *not* rewound: recovery
         decisions are facts about the run (they happened, and they are
         counted before the rollback), not state of the abandoned
-        activation.
+        activation.  The injection pins are cleared: a retry re-pins.
         """
         del self.events[epoch["events_len"]:]
-        self.trap_counts = Counter(epoch["trap_counts"])
-        self.handler_counts = Counter(epoch["handler_counts"])
-        self.world_switches = epoch["world_switches"]
-        self.firmware_emulations = epoch["firmware_emulations"]
-        self.fastpath_hits = epoch["fastpath_hits"]
-        self.total_traps = epoch["total_traps"]
-        # Last-trap pointers into truncated events would dangle; rebuild
-        # from what survives (annotate_last on a missing event is a no-op).
-        self._last = self.events[-1] if self.events else None
-        self._last_by_hart = {}
+        self._set_counters(epoch["counters"])
+        self._last = epoch["last"]
+        self._last_by_hart = dict(epoch["last_by_hart"])
         self._injected_by_hart = {}
-        for event in self.events:
-            self._last_by_hart[event.hart] = event
+        self._rewind_tracer(epoch["trace"])
+
+    def _rewind_tracer(self, trace_epoch: Optional[dict]) -> None:
+        tracer = self.tracer
+        if tracer is not None and trace_epoch is not None:
+            tracer.rewind_to_epoch(trace_epoch)
+
+    def save(self) -> tuple[dict, Optional[dict]]:
+        """A full copy for a machine checkpoint: ``(state, trace epoch)``.
+
+        Unlike an epoch, the state holds copies of the events themselves
+        and the recovery counts, since a checkpoint may be restored into
+        another machine.
+        """
+        tracer = self.tracer
+        state = {
+            "events": [dataclasses.replace(event) for event in self.events],
+            **self._counters(),
+            "recovery_counts": Counter(self.recovery_counts),
+            "recovery_counts_by_hart": {
+                hart: Counter(counts)
+                for hart, counts in self.recovery_counts_by_hart.items()
+            },
+        }
+        return state, None if tracer is None else tracer.mark_epoch()
+
+    def restore(self, state: dict, trace_epoch: Optional[dict] = None) -> None:
+        """Install a state from :meth:`save` and rewind the tracer."""
+        self.events[:] = [dataclasses.replace(event)
+                          for event in state["events"]]
+        self._set_counters(state)
+        # Unlike the watchdog's epoch rewind, a full checkpoint restore
+        # *does* reset recovery counts: the restored machine is the
+        # machine as it was, recoveries included — a warm-started cell
+        # must not inherit another cell's decisions.
+        self.recovery_counts = Counter(state["recovery_counts"])
+        self.recovery_counts_by_hart = defaultdict(Counter, {
+            hart: Counter(counts)
+            for hart, counts in state["recovery_counts_by_hart"].items()
+        })
+        self._last = self.events[-1] if self.events else None
+        self._last_by_hart = {event.hart: event for event in self.events}
+        self._injected_by_hart = {}
+        self._rewind_tracer(trace_epoch)
+
+    def reset(self) -> None:
+        """Zero every counter and drop the event log (the observers stay
+        attached and untouched)."""
+        self.restore({
+            "events": [],
+            **{name: kind() for name, kind in self._COUNTERS.items()},
+            "recovery_counts": {},
+            "recovery_counts_by_hart": {},
+        })
 
     # -- analysis helpers ------------------------------------------------
 
@@ -218,17 +332,3 @@ class TrapStats:
             if event.detail:
                 counts[event.detail] += 1
         return counts
-
-    def reset(self) -> None:
-        self.events.clear()
-        self.trap_counts.clear()
-        self.handler_counts.clear()
-        self.world_switches = 0
-        self.firmware_emulations = 0
-        self.fastpath_hits = 0
-        self.total_traps = 0
-        self.recovery_counts.clear()
-        self.recovery_counts_by_hart.clear()
-        self._last = None
-        self._last_by_hart.clear()
-        self._injected_by_hart.clear()

@@ -15,11 +15,6 @@ def to_u64(value: int) -> int:
     return value & XMASK
 
 
-def to_u32(value: int) -> int:
-    """Truncate an integer to an unsigned 32-bit value."""
-    return value & 0xFFFFFFFF
-
-
 def to_signed(value: int, width: int = XLEN) -> int:
     """Interpret the low ``width`` bits of ``value`` as a two's-complement int."""
     value &= (1 << width) - 1
@@ -33,11 +28,6 @@ def sign_extend(value: int, width: int) -> int:
     return to_u64(to_signed(value, width))
 
 
-def zero_extend(value: int, width: int) -> int:
-    """Zero-extend the low ``width`` bits of ``value`` to 64 bits."""
-    return value & ((1 << width) - 1)
-
-
 def bit(value: int, position: int) -> int:
     """Extract a single bit as 0 or 1."""
     return (value >> position) & 1
@@ -48,13 +38,6 @@ def bits(value: int, high: int, low: int) -> int:
     if high < low:
         raise ValueError(f"invalid bit range [{high}:{low}]")
     return (value >> low) & ((1 << (high - low + 1)) - 1)
-
-
-def set_bits(value: int, high: int, low: int, field: int) -> int:
-    """Return ``value`` with bit range [high:low] replaced by ``field``."""
-    width = high - low + 1
-    mask = ((1 << width) - 1) << low
-    return to_u64((value & ~mask) | ((field << low) & mask))
 
 
 def set_field(value: int, mask: int, field: int) -> int:
@@ -71,11 +54,6 @@ def get_field(value: int, mask: int) -> int:
     """Extract the (possibly shifted) ``mask`` field from ``value``."""
     shift = (mask & -mask).bit_length() - 1
     return (value & mask) >> shift
-
-
-def is_aligned(address: int, size: int) -> bool:
-    """Whether ``address`` is naturally aligned for an access of ``size`` bytes."""
-    return address % size == 0
 
 
 def napot_range(pmpaddr: int) -> tuple[int, int]:

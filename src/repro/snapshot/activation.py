@@ -13,8 +13,9 @@ back with it:
   activation state, and before this layer existed, post-snapshot writes
   leaked straight through a restore (the snapshot held no memory at
   all);
-* the trap-stats and tracer epochs — an abandoned activation's traps
-  must not be double-counted by the retried one.
+* the trap-event stream's epoch, one mark that covers the stats and
+  the attached tracer — an abandoned activation's traps must not be
+  double-counted by the retried one.
 
 Recovery *decisions* (``recovery_counts``, watchdog counters, quarantine
 dumps) are facts about the run, not activation state, and are never
@@ -41,9 +42,7 @@ def capture_activation(watchdog, hart, vctx) -> dict:
         region = firmware.region
         snap["ram_span"] = (region.base, region.end)
         snap["ram"] = machine.ram.snapshot_pages(region.base, region.end)
-    snap["stats_epoch"] = machine.stats.mark_epoch()
-    tracer = machine.tracer
-    snap["trace_epoch"] = None if tracer is None else tracer.mark_epoch()
+    snap["epoch"] = machine.stats.mark_epoch()
     return snap
 
 
@@ -58,9 +57,4 @@ def restore_activation(watchdog, hart, vctx, snap: dict) -> None:
     if "ram" in snap:
         start, stop = snap["ram_span"]
         machine.ram.restore_pages(snap["ram"], start, stop)
-    machine.stats.rewind_to_epoch(snap["stats_epoch"])
-    tracer = machine.tracer
-    trace_epoch = snap.get("trace_epoch")
-    if (tracer is not None and trace_epoch is not None
-            and tracer._seq >= trace_epoch["seq"]):
-        tracer.rewind_to_epoch(trace_epoch)
+    machine.stats.rewind_to_epoch(snap["epoch"])

@@ -269,47 +269,6 @@ def _restore_policy(policy, monitor, machine, state: dict) -> None:
         setattr(policy, name, _copy(value))
 
 
-def _stats_state(stats) -> dict:
-    return {
-        "events": [_copy(event) for event in stats.events],
-        "trap_counts": Counter(stats.trap_counts),
-        "handler_counts": Counter(stats.handler_counts),
-        "world_switches": stats.world_switches,
-        "firmware_emulations": stats.firmware_emulations,
-        "fastpath_hits": stats.fastpath_hits,
-        "total_traps": stats.total_traps,
-        "recovery_counts": Counter(stats.recovery_counts),
-        "recovery_counts_by_hart": {
-            hart: Counter(counts)
-            for hart, counts in stats.recovery_counts_by_hart.items()
-        },
-    }
-
-
-def _restore_stats(stats, state: dict) -> None:
-    stats.events[:] = [_copy(event) for event in state["events"]]
-    stats.trap_counts = Counter(state["trap_counts"])
-    stats.handler_counts = Counter(state["handler_counts"])
-    stats.world_switches = state["world_switches"]
-    stats.firmware_emulations = state["firmware_emulations"]
-    stats.fastpath_hits = state["fastpath_hits"]
-    stats.total_traps = state["total_traps"]
-    # Unlike the watchdog's epoch rewind, a full checkpoint restore *does*
-    # reset recovery counts: the restored machine is the machine as it was,
-    # recoveries included — a warm-started cell must not inherit another
-    # cell's decisions.
-    stats.recovery_counts = Counter(state["recovery_counts"])
-    stats.recovery_counts_by_hart = defaultdict(Counter, {
-        hart: Counter(counts)
-        for hart, counts in state["recovery_counts_by_hart"].items()
-    })
-    stats._last = stats.events[-1] if stats.events else None
-    stats._last_by_hart = {}
-    for event in stats.events:
-        stats._last_by_hart[event.hart] = event
-    stats._injected_by_hart = {}
-
-
 def _watchdog_state(watchdog) -> dict:
     return {
         "quarantined": list(watchdog.quarantined),
@@ -367,6 +326,7 @@ def capture(machine, phase: Optional[str] = None) -> Checkpoint:
 
     clint = machine.clint
     plic = machine.plic
+    stats_state, trace_epoch = machine.stats.save()
     state: dict = {
         "schema": SNAPSHOT_SCHEMA,
         "platform": machine.config.name,
@@ -407,7 +367,7 @@ def capture(machine, phase: Optional[str] = None) -> Checkpoint:
             for _, owner in machine._regions
             if isinstance(owner, GuestProgram)
         },
-        "stats": _stats_state(machine.stats),
+        "stats": stats_state,
     }
 
     monitor = _find_monitor(machine)
@@ -437,10 +397,9 @@ def capture(machine, phase: Optional[str] = None) -> Checkpoint:
                          else _watchdog_state(monitor.watchdog)),
         }
 
-    tracer = machine.tracer
     coverage = machine.coverage
     state["epochs"] = {
-        "trace": None if tracer is None else tracer.mark_epoch(),
+        "trace": trace_epoch,
         "coverage": None if coverage is None else {
             "records": coverage.records,
             "digest": coverage.digest(),
@@ -545,16 +504,10 @@ def restore(machine, checkpoint: Checkpoint) -> None:
         if monitor.watchdog is not None and monitor_state["watchdog"] is not None:
             _restore_watchdog(monitor.watchdog, monitor_state["watchdog"])
 
-    _restore_stats(machine.stats, state["stats"])
+    machine.stats.restore(state["stats"], state["epochs"]["trace"])
     machine.ram.restore_pages(checkpoint.pages)
 
     # Per-run wiring is reset, not restored: the consumer re-arms its own
     # injector/tracer/coverage after the restore.
     machine.install_fault_injector(None)
     machine.wall_deadline = None
-
-    trace_epoch = state["epochs"]["trace"]
-    tracer = machine.tracer
-    if (tracer is not None and trace_epoch is not None
-            and tracer._seq >= trace_epoch["seq"]):
-        tracer.rewind_to_epoch(trace_epoch)

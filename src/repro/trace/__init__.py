@@ -7,9 +7,10 @@ typed events:
 
 * :class:`Tracer` — a bounded ring buffer of :class:`TraceEvent`\\ s,
   each stamped with ``mtime`` and the hart's retired-instruction count.
-  Attached to a machine via ``machine.tracer``; every emit site costs a
-  single attribute load plus ``is None`` branch when tracing is off,
-  mirroring the ``perf.toggle`` discipline.
+  Attached to a machine via ``machine.tracer`` and fed by the trap-event
+  stream (:class:`~repro.hart.stats.TrapStats`), which costs one
+  ``is None`` branch per event when tracing is off, mirroring the
+  ``perf.toggle`` discipline.
 * :class:`MetricsRegistry` — per-trap-cause latency histograms (guest
   cycles) and world-switch/offload ratio gauges, fed by the paired
   trap-entry/trap-exit events.

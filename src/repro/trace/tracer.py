@@ -1,14 +1,15 @@
 """The event recorder: a bounded ring buffer of typed monitor events.
 
-Every layer of the monitor emits through the same two-line pattern::
+The monitor never calls a tracer directly: it reports each event once to
+the trap-event stream (:class:`~repro.hart.stats.TrapStats`), which
+updates its counters and forwards the event here when a tracer is
+attached (``machine.tracer``)::
 
-    tracer = self.machine.tracer
-    if tracer is not None:
-        tracer.emit(self.machine, "world-switch", hartid, direction=...)
+    self.machine.stats.note_world_switch(hartid, direction=...)
 
-so a disabled tracer (``machine.tracer is None``, the default) costs one
-attribute load and one branch on the hot path — the same budget as the
-``perf.toggle`` cache switch.
+so a disabled tracer (the default) costs the stream one branch per
+event — the same budget as the ``perf.toggle`` cache switch.  The stream
+also marks and rewinds this tracer's epoch together with its own.
 
 An *enabled* tracer has its own budget (<10% of steps/sec, checked by
 the hot-path benchmark), so the recording path does the minimum work per
@@ -283,11 +284,11 @@ class Tracer:
     def mark_epoch(self) -> dict:
         """Freeze the flight recorder and histograms at a restore point.
 
-        Paired with :meth:`rewind_to_epoch` by the watchdog (and the
-        checkpoint layer): when an activation's architectural state is
-        rolled back, its trace events and latency observations are rolled
-        back with it, keeping ``trap_causes`` equal to the (also rewound)
-        ``TrapStats.trap_counts``.
+        Called by the trap-event stream's own epoch mark (a watchdog
+        activation or a checkpoint): when an activation's architectural
+        state is rolled back, the stream rewinds this tracer with itself,
+        so its trace events and latency observations are rolled back
+        too, keeping ``trap_causes`` equal to ``TrapStats.trap_counts``.
         """
         _ = self.trap_causes      # fold pending causes
         self._flush_metrics()     # fold pending latency observations
@@ -317,8 +318,12 @@ class Tracer:
         counts, a quarantine record is a fact about the run, not state of
         the abandoned activation.
         """
-        ring = self.ring
         seq = epoch["seq"]
+        if self._seq < seq:
+            # Marked on a timeline that a rewind to an older epoch has
+            # already dropped: nothing recorded since belongs to it.
+            return
+        ring = self.ring
         kept: list[tuple] = []
         while ring and ring[-1][0] >= seq:
             record = ring.pop()

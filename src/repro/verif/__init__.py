@@ -22,7 +22,6 @@ from repro.verif.fuzz import (
     FuzzFinding,
     Observation,
     Scenario,
-    fuzz_campaign,
     fuzz_scenario,
     run_fuzz_campaign,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "FuzzFinding",
     "Observation",
     "Scenario",
-    "fuzz_campaign",
     "fuzz_scenario",
     "run_fuzz_campaign",
     "CheckReport",

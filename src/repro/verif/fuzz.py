@@ -471,20 +471,3 @@ def run_fuzz_campaign(seeds, length: int = 40,
             result.findings.append(finding)
     result.elapsed_seconds = time.monotonic() - start
     return result
-
-
-def fuzz_campaign(seeds: range, length: int = 40,
-                  platform: PlatformConfig = VISIONFIVE2,
-                  offload: bool = True,
-                  max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                  wall_seconds: float = WALL_SECONDS_PER_CASE,
-                  ) -> list[FuzzFinding]:
-    """Run a seed range; returns all findings (empty = no divergence).
-
-    Compatibility shim over :func:`run_fuzz_campaign`; callers that need
-    a campaign deadline or the skipped-seed report use the latter.
-    """
-    return run_fuzz_campaign(
-        seeds, length=length, platform=platform, offload=offload,
-        max_dispatches=max_dispatches, wall_seconds=wall_seconds,
-    ).findings

@@ -18,7 +18,7 @@ import pytest
 from repro.core import bugs
 from repro.spec.platform import VISIONFIVE2
 from repro.verif import run_fuzz_campaign
-from repro.verif.fuzz import FuzzCampaignResult, fuzz_campaign
+from repro.verif.fuzz import FuzzCampaignResult
 from repro.verif.report import CheckReport, Divergence, merge_reports
 
 
@@ -54,8 +54,8 @@ class TestFuzzCampaignDeadline:
         assert not result.deadline_hit
 
     def test_compat_shim_returns_findings_list(self):
-        # The historical entry point still returns a bare findings list.
-        assert fuzz_campaign(range(50, 53), length=20) == []
+        # Callers that only want the findings read the bare list.
+        assert run_fuzz_campaign(range(50, 53), length=20).findings == []
 
 
 class TestTrapLogCap:

@@ -71,3 +71,43 @@ class TestAnnotateLast:
         stats = system.machine.stats
         assert stats.total_traps > 0
         assert sum(stats.handler_counts.values()) <= stats.total_traps
+
+
+class TestEventsOffEpochs:
+    """A rewind used to rebuild the last-trap pointers from ``events``,
+    which is empty when events are not kept, so the watchdog's
+    post-restore ``annotate_last`` did nothing and ``handler_counts``
+    depended on ``keep_trap_events``."""
+
+    def test_rewind_keeps_last_trap_without_events(self):
+        stats = TrapStats(keep_events=False)
+        _record(stats, 1)
+        epoch = stats.mark_epoch()
+        _record(stats, 2)
+        stats.rewind_to_epoch(epoch)
+        stats.annotate_last("miralis-recovery", hart=0)
+        assert stats.handler_counts == {"miralis-recovery": 1}
+
+    def _stall_loop_cell(self, monkeypatch, keep_events):
+        from repro.faults import chaos
+
+        build = chaos._build_sbi_system
+        built = {}
+
+        def build_with_events(*args, **kwargs):
+            system, checkpoint = build(*args, **kwargs)
+            system.machine.stats.keep_events = keep_events
+            built["stats"] = system.machine.stats
+            return system, checkpoint
+
+        monkeypatch.setattr(chaos, "_build_sbi_system", build_with_events)
+        result = chaos.run_chaos("opensbi", plan="stall-loop", seed=0)
+        return result, built["stats"]
+
+    def test_retrying_chaos_cell_counts_match(self, monkeypatch):
+        kept, kept_stats = self._stall_loop_cell(monkeypatch, True)
+        dropped, dropped_stats = self._stall_loop_cell(monkeypatch, False)
+        assert kept.recoveries.get("retries", 0) > 0  # the cell retries
+        assert kept_stats.events and not dropped_stats.events
+        assert dropped_stats.handler_counts == kept_stats.handler_counts
+        assert dropped_stats.trap_counts == kept_stats.trap_counts

@@ -24,9 +24,6 @@ class TestTruncation:
     def test_to_u64_always_in_range(self, value):
         assert 0 <= bits.to_u64(value) <= XMASK
 
-    def test_to_u32(self):
-        assert bits.to_u32(0x1_0000_0001) == 1
-
 
 class TestSignedness:
     def test_to_signed_positive(self):
@@ -48,9 +45,6 @@ class TestSignedness:
         assert bits.sign_extend(0x80, 8) == XMASK & ~0x7F
         assert bits.sign_extend(0x7F, 8) == 0x7F
 
-    def test_zero_extend(self):
-        assert bits.zero_extend(0xFFFF, 8) == 0xFF
-
 
 class TestFields:
     def test_bit(self):
@@ -64,9 +58,6 @@ class TestFields:
     def test_bits_invalid_range(self):
         with pytest.raises(ValueError):
             bits.bits(0, 0, 1)
-
-    def test_set_bits(self):
-        assert bits.set_bits(0, 7, 4, 0xF) == 0xF0
 
     def test_set_field_shifted_mask(self):
         from repro.isa.constants import MSTATUS_MPP
@@ -86,15 +77,6 @@ class TestFields:
         assert bits.get_field(updated, MSTATUS_MPP) == field
         # Other bits untouched.
         assert updated & ~MSTATUS_MPP == value & ~MSTATUS_MPP
-
-
-class TestAlignment:
-    @pytest.mark.parametrize("address,size,expected", [
-        (0, 8, True), (4, 8, False), (4, 4, True), (2, 4, False),
-        (1, 1, True), (6, 2, True), (7, 2, False),
-    ])
-    def test_is_aligned(self, address, size, expected):
-        assert bits.is_aligned(address, size) is expected
 
 
 class TestNapot:

@@ -83,12 +83,13 @@ class TestRamRollback:
 
 class TestMetricsRewind:
     def _record_some_traps(self, machine, tracer, count=3):
+        # Through the trap-event stream, which forwards to the tracer.
+        stats = machine.stats
         for _ in range(count):
-            machine.stats.record_trap(hart=0, cause=CAUSE, is_interrupt=False,
-                                      from_mode=None, mtime=0)
-            if tracer is not None:
-                tracer.trap_entry(machine, 0, CAUSE, False)
-                tracer.trap_exit(machine, 0, "miralis-emulate")
+            stats.record_trap(hart=0, cause=CAUSE, is_interrupt=False,
+                              from_mode=None, mtime=0)
+            stats.annotate_last("miralis-emulate", hart=0)
+            stats.trap_exit(0)
 
     def test_abandoned_activation_traps_are_not_double_counted(self):
         tracer = Tracer()
@@ -127,8 +128,8 @@ class TestMetricsRewind:
         self._record_some_traps(machine, tracer, count=3)
         # A committed injection and a watchdog transition during the
         # activation are decisions, not activation state.
-        tracer.emit(machine, "fault-inject", 0, site="mmio", index=1, seed=9)
-        tracer.emit(machine, "watchdog", 0, state="recover", reason="test")
+        machine.stats.emit("fault-inject", 0, site="mmio", index=1, seed=9)
+        machine.stats.note_recovery("recoveries", 0, "test")
         watchdog._activation_restore(hart, vctx, snap)
 
         kinds = [event.kind for event in tracer.events()]
@@ -150,8 +151,8 @@ class TestMetricsRewind:
         vctx = system.miralis.vctx[0]
 
         snap = watchdog._activation_snapshot(hart, vctx)
-        machine.stats.note_recovery("recoveries", hart=0)
-        machine.stats.note_recovery("retries", hart=0)
+        machine.stats.note_recovery("recoveries", 0, "test")
+        machine.stats.note_recovery("retries", 0, "test", attempt=1)
         watchdog._activation_restore(hart, vctx, snap)
         assert machine.stats.recovery_counts["recoveries"] == 1
         assert machine.stats.recovery_counts["retries"] == 1

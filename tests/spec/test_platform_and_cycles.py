@@ -144,7 +144,7 @@ class TestTrapStats:
         stats = TrapStats()
         stats.record_trap(hart=0, cause=TrapCause.BREAKPOINT,
                           is_interrupt=False, from_mode=None, mtime=0)
-        stats.note_world_switch()
+        stats.note_world_switch(0)
         stats.reset()
         assert stats.total_traps == 0
         assert stats.world_switches == 0

@@ -1,9 +1,12 @@
 """Unit tests for the trace subsystem: ring buffer, counters, export."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.faults.chaos import run_chaos
+from repro.os_model.workloads import SMP_WORKLOADS
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
 from repro.trace import (
@@ -39,6 +42,47 @@ def traced_boot():
     return system, tracer
 
 
+class _MachineTracer(Tracer):
+    """Remembers the machine it traced (``run_chaos`` does not return it)."""
+
+    machine = None
+
+    def trap_entry(self, machine, hartid, cause, is_interrupt):
+        self.machine = machine
+        super().trap_entry(machine, hartid, cause, is_interrupt)
+
+
+@pytest.fixture(scope="module")
+def traced_retrying_chaos():
+    tracer = _MachineTracer()
+    run_chaos("opensbi", plan="stall-loop", seed=0, tracer=tracer)
+    assert tracer.machine.stats.recovery_counts["retries"] > 0
+    return tracer.machine, tracer
+
+
+@pytest.fixture(scope="module")
+def traced_smp_boot():
+    primary, secondary = SMP_WORKLOADS["ipi-pingpong"]()
+    system = build_virtualized(
+        dataclasses.replace(VISIONFIVE2, num_harts=2),
+        workload=primary, secondary_workload=secondary,
+        start_secondaries=True,
+    )
+    tracer = Tracer()
+    system.machine.tracer = tracer
+    system.run_smp()
+    return system.machine, tracer
+
+
+#: Trace kinds recorded by the same stream call as a stats counter.
+PAIRED_COUNTERS = {
+    "trap-entry": "total_traps",
+    "world-switch": "world_switches",
+    "fastpath": "fastpath_hits",
+    "fw-emulate": "firmware_emulations",
+}
+
+
 class TestTracer:
     def test_disabled_by_default(self):
         system = build_virtualized(VISIONFIVE2, workload=_demo_workload)
@@ -58,11 +102,25 @@ class TestTracer:
             assert event.instret >= 0
             assert event.kind in tracer.counts
 
-    def test_cause_counters_match_stats(self, traced_boot):
-        system, tracer = traced_boot
-        assert tracer.dropped == 0
-        assert dict(tracer.trap_causes) == dict(system.machine.stats.trap_counts)
-        assert tracer.counts["trap-entry"] == system.machine.stats.total_traps
+    def test_cause_counters_match_stats(self, traced_boot,
+                                        traced_retrying_chaos,
+                                        traced_smp_boot):
+        # One boot, one chaos cell whose retries rewind the stream, and
+        # one 2-hart boot: the tracer and the stats agree on every kind
+        # they both count.  The counters do not depend on what the ring
+        # still holds, so ``dropped`` is checked for the boot only.
+        assert traced_boot[1].dropped == 0
+        runs = {
+            "boot": (traced_boot[0].machine, traced_boot[1]),
+            "chaos-retry": traced_retrying_chaos,
+            "smp-2": traced_smp_boot,
+        }
+        for name, (machine, tracer) in runs.items():
+            stats = machine.stats
+            assert dict(tracer.trap_causes) == dict(stats.trap_counts), name
+            for kind, counter in PAIRED_COUNTERS.items():
+                assert tracer.counts[kind] == getattr(stats, counter), \
+                    (name, kind)
 
     def test_ring_wraps_but_counters_stay_exact(self):
         tracer = Tracer(capacity=8)

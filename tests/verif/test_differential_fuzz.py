@@ -12,8 +12,8 @@ from repro.spec.platform import PREMIER_P550, VISIONFIVE2
 from repro.verif.fuzz import (
     ACTIONS,
     Scenario,
-    fuzz_campaign,
     fuzz_scenario,
+    run_fuzz_campaign,
 )
 
 
@@ -51,7 +51,7 @@ class TestDifferentialEquivalence:
         assert finding is None, str(finding)
 
     def test_campaign_helper(self):
-        assert fuzz_campaign(range(50, 56), length=20) == []
+        assert run_fuzz_campaign(range(50, 56), length=20).findings == []
 
 
 class TestFuzzerSensitivity:
@@ -112,7 +112,8 @@ class TestFuzzerSensitivity:
         on end-to-end testing.  The component checker catches them
         (test_seeded_bugs); the fuzzer legitimately may not."""
         with bugs.seeded("mret_mpp_not_cleared"):
-            findings = fuzz_campaign(range(0, 4), length=20, offload=False)
+            findings = run_fuzz_campaign(range(0, 4), length=20,
+                                         offload=False).findings
         assert isinstance(findings, list)  # documented, not asserted-empty
 
 
